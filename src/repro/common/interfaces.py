@@ -12,12 +12,6 @@ The discrete-event simulator (:mod:`repro.sim`) and the asyncio runtime
 protocol code runs in simulation and over real TCP sockets.  This is the
 architectural move that lets the reproduction also cover the paper's future
 work item of a deployable implementation.
-
-One more interface faces the *harness* rather than the protocols:
-:class:`Kernel` is the event-scheduling surface a simulation consumes —
-the single-process bucket-queue :class:`~repro.sim.engine.Engine` and the
-space-partitioned :class:`~repro.sim.sharded.ShardedEngine` both provide
-it, which is what lets one ``Scenario`` run on either.
 """
 
 from __future__ import annotations
@@ -68,111 +62,6 @@ class Clock(ABC):
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` after ``delay`` seconds; returns a cancellable
         handle.  ``delay`` may be zero (run as soon as possible)."""
-
-
-class Kernel(ABC):
-    """The event-scheduling surface a simulation consumes.
-
-    This is the seam between "what schedules events" and "what consumes
-    the engine": :class:`repro.sim.engine.Engine` implements it with one
-    bucket-queue/timer-wheel event loop, and
-    :class:`repro.sim.sharded.ShardedEngine` coordinates one event queue
-    per node-space shard behind the same surface.  Consumers
-    (:class:`~repro.sim.network.Network`, :class:`~repro.sim.clock.SimClock`,
-    the fault drivers, :class:`~repro.experiments.scenario.Scenario`) hold
-    a ``Kernel``, never a concrete engine — pre-binding a concrete method
-    (``engine.post``) is allowed as a single-shard fast path only after
-    checking :attr:`routed`.
-
-    Two method families exist:
-
-    * the classic surface (``schedule``/``post``/``run_*``) — owner-blind,
-      identical to the historical ``Engine`` API;
-    * the shard-aware surface (:meth:`schedule_for`/:meth:`post_for`) —
-      takes the :class:`NodeId` that *consumes* the event so a sharded
-      kernel can route it to the owning shard.  The base implementations
-      discard the owner, so single-shard kernels get them for free.
-    """
-
-    __slots__ = ()
-
-    #: ``True`` when the kernel partitions event ownership across shards
-    #: and consumers must use the owner-qualified ``*_for`` methods for
-    #: per-node events.  Single-shard kernels leave this ``False`` and
-    #: consumers may pre-bind the concrete methods (the fast path).
-    routed: bool = False
-
-    # -- time ----------------------------------------------------------
-    @property
-    @abstractmethod
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-
-    @property
-    @abstractmethod
-    def pending(self) -> int:
-        """Queued events, including lazily-cancelled timers."""
-
-    @property
-    @abstractmethod
-    def live_pending(self) -> int:
-        """Queued events that will actually fire."""
-
-    @property
-    @abstractmethod
-    def processed(self) -> int:
-        """Events fired since construction."""
-
-    # -- scheduling ----------------------------------------------------
-    @abstractmethod
-    def schedule(self, delay: float, callback: Callable, *args) -> TimerHandle:
-        """Run ``callback(*args)`` after ``delay`` seconds; cancellable."""
-
-    @abstractmethod
-    def schedule_at(self, when: float, callback: Callable, *args) -> TimerHandle:
-        """Run ``callback(*args)`` at absolute time ``when``; cancellable."""
-
-    @abstractmethod
-    def post(self, delay: float, callback: Callable, *args) -> None:
-        """Fire-and-forget event after ``delay`` seconds (no handle)."""
-
-    @abstractmethod
-    def post_at(self, when: float, callback: Callable, *args) -> None:
-        """Fire-and-forget event at absolute time ``when`` (no handle)."""
-
-    def schedule_for(
-        self, owner: Optional[NodeId], delay: float, callback: Callable, *args
-    ) -> TimerHandle:
-        """Like :meth:`schedule`, routed to the shard owning ``owner``."""
-        return self.schedule(delay, callback, *args)
-
-    def post_for(
-        self, owner: Optional[NodeId], delay: float, callback: Callable, *args
-    ) -> None:
-        """Like :meth:`post`, routed to the shard owning ``owner``."""
-        self.post(delay, callback, *args)
-
-    # -- execution -----------------------------------------------------
-    @abstractmethod
-    def step(self) -> bool:
-        """Fire the single next event; ``False`` when the queue is empty."""
-
-    @abstractmethod
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Fire events until none remain; returns the count fired."""
-
-    @abstractmethod
-    def run_until(self, deadline: float) -> int:
-        """Fire events up to ``deadline`` and advance time to it."""
-
-    def run_for(self, duration: float) -> int:
-        """Fire events for ``duration`` simulated seconds from now."""
-        return self.run_until(self.now + duration)
-
-    # -- maintenance ---------------------------------------------------
-    @abstractmethod
-    def compact(self) -> int:
-        """Reclaim lazily-cancelled timers; returns the number removed."""
 
 
 class Transport(ABC):

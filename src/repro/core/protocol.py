@@ -452,11 +452,24 @@ class HyParView(PeerSamplingService):
         victim = self.active.random_member(self._rng)
         if victim is None:
             return
-        self._host.send(victim, Disconnect(self.address))
+        self._disconnect(victim)
         self.active.remove(victim)
         self._host.unwatch(victim)
         self._listeners.notify_down(victim)
         self._add_to_passive(victim)
+
+    def _disconnect(self, peer: NodeId) -> None:
+        """Send DISCONNECT to ``peer`` and void our NEIGHBOR request to it.
+
+        The peer handles our request (if still in flight) before the
+        DISCONNECT, so whatever it replies describes a link the DISCONNECT
+        then tears down.  Accepting that late reply would re-add a peer
+        that no longer holds us: a one-way link for good.
+        """
+        self._host.send(peer, Disconnect(self.address))
+        if peer == self._pending_neighbor:
+            self._cancel_neighbor_timer()
+            self._pending_neighbor = None
 
     def _add_to_passive(self, node: NodeId) -> bool:
         """``addNodePassiveView``: random eviction when full."""

@@ -5,17 +5,12 @@ n = 10 000.  ``ExperimentParams.scaled(n)`` keeps every protocol relation
 intact (Cyclon view = HyParView active + passive; shuffle length ≈ 40% of
 the view; fanout fixed at 4) while shrinking the log-sized views for a
 smaller system, so laptop-scale runs preserve the comparisons the paper
-makes.  Benchmarks read their scale from the environment:
-
-* ``REPRO_BENCH_N`` — system size (default 500),
-* ``REPRO_BENCH_MESSAGES`` — messages per measurement batch,
-* ``REPRO_BENCH_PAPER=1`` — use the exact paper parameters/scale.
+makes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -36,13 +31,6 @@ from ..sim.latency import LATENCY_MODEL_NAMES
 #: ``*-reliable`` stacks run the ack+retransmit broadcast layer (datagrams
 #: + per-copy acks + cancellable retransmit timers) over the named overlay.
 PROTOCOL_NAMES = stack_names()
-
-#: Simulation kernels a scenario can run on: the single-process
-#: bucket-queue :class:`~repro.sim.engine.Engine` and the space-sharded
-#: :class:`~repro.sim.sharded.ShardedEngine` coordinator.  Both fire the
-#: same events in the same order (the fig2 pin asserts it to the byte).
-KERNEL_NAMES = ("single", "sharded")
-
 
 @dataclass(frozen=True, slots=True)
 class ExperimentParams:
@@ -81,13 +69,6 @@ class ExperimentParams:
     #: exact timestamps.
     engine_tick: Optional[float] = None
     max_events_per_drain: Optional[int] = 50_000_000
-    #: Which simulation kernel runs the scenario (see ``KERNEL_NAMES``).
-    #: The choice never changes measured results — it is deliberately
-    #: excluded from artifact serialisation so byte-identity across
-    #: kernels is checkable.
-    kernel: str = "single"
-    #: Shard count for the sharded kernel; ignored by ``"single"``.
-    kernel_shards: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -109,30 +90,15 @@ class ExperimentParams:
             )
         if self.latency_zones < 1:
             raise ConfigurationError(f"zone count must be >= 1: {self.latency_zones}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
-            )
-        if self.kernel_shards < 1:
-            raise ConfigurationError(f"shard count must be >= 1: {self.kernel_shards}")
 
     @classmethod
-    def paper(
-        cls,
-        n: int = 10_000,
-        seed: int = 42,
-        *,
-        kernel: str = "single",
-        kernel_shards: int = 2,
-    ) -> "ExperimentParams":
+    def paper(cls, n: int = 10_000, seed: int = 42) -> "ExperimentParams":
         """The exact Section 5.1 setting (10 000 nodes by default)."""
         return cls(
             n=n,
             seed=seed,
             fanout=4,
             stabilization_cycles=50,
-            kernel=kernel,
-            kernel_shards=kernel_shards,
             hyparview=HyParViewConfig(
                 active_view_capacity=5,
                 passive_view_capacity=30,
@@ -151,9 +117,6 @@ class ExperimentParams:
         n: int,
         seed: int = 42,
         stabilization_cycles: int = 50,
-        *,
-        kernel: str = "single",
-        kernel_shards: int = 2,
     ) -> "ExperimentParams":
         """Paper relations at system size ``n`` (views scale with log n)."""
         if n < 2:
@@ -167,8 +130,6 @@ class ExperimentParams:
             seed=seed,
             fanout=4,
             stabilization_cycles=stabilization_cycles,
-            kernel=kernel,
-            kernel_shards=kernel_shards,
             hyparview=hyparview,
             cyclon=CyclonConfig(
                 view_size=cyclon_view,
@@ -185,17 +146,3 @@ class ExperimentParams:
         """The "larger than log(n)" requirement from Section 4.1."""
         return math.ceil(math.log(self.n))
 
-
-def bench_params() -> ExperimentParams:
-    """Parameters for the benchmark harness, controlled by environment
-    variables (see module docstring)."""
-    if os.environ.get("REPRO_BENCH_PAPER", "") == "1":
-        return ExperimentParams.paper()
-    n = int(os.environ.get("REPRO_BENCH_N", "500"))
-    seed = int(os.environ.get("REPRO_BENCH_SEED", "42"))
-    return ExperimentParams.scaled(n, seed=seed)
-
-
-def bench_message_count(default: int = 100) -> int:
-    """Messages per benchmark measurement batch (``REPRO_BENCH_MESSAGES``)."""
-    return int(os.environ.get("REPRO_BENCH_MESSAGES", str(default)))

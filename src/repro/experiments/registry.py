@@ -100,13 +100,6 @@ class TierConfig:
     replicates: int = 1
     stabilization_cycles: int = 50
     paper_params: bool = False
-    #: Simulation kernel the replicates run on (``"single"``/``"sharded"``).
-    #: Not part of the artifact: the kernels fire identical event orders,
-    #: so artifacts stay byte-identical across this knob — which is
-    #: exactly what the sharded determinism pins check.
-    kernel: str = "single"
-    #: Shard count when ``kernel == "sharded"``.
-    kernel_shards: int = 2
     #: scenario-specific knobs (sweep grids, step counts, ...).
     extra: Mapping[str, object] = field(default_factory=dict)
 
@@ -117,10 +110,6 @@ class TierConfig:
             raise ConfigurationError(f"messages must be >= 1: {self.messages}")
         if self.replicates < 1:
             raise ConfigurationError(f"replicates must be >= 1: {self.replicates}")
-        if self.kernel not in ("single", "sharded"):
-            raise ConfigurationError(f"unknown kernel: {self.kernel!r}")
-        if self.kernel_shards < 1:
-            raise ConfigurationError(f"shard count must be >= 1: {self.kernel_shards}")
 
     def option(self, key: str, default: object) -> object:
         return self.extra.get(key, default)
@@ -148,18 +137,11 @@ class RunContext:
 
     def params(self) -> ExperimentParams:
         if self.config.paper_params:
-            return ExperimentParams.paper(
-                n=self.config.n,
-                seed=self.seed,
-                kernel=self.config.kernel,
-                kernel_shards=self.config.kernel_shards,
-            )
+            return ExperimentParams.paper(n=self.config.n, seed=self.seed)
         return ExperimentParams.scaled(
             self.config.n,
             seed=self.seed,
             stabilization_cycles=self.config.stabilization_cycles,
-            kernel=self.config.kernel,
-            kernel_shards=self.config.kernel_shards,
         )
 
     def option(self, key: str, default: object) -> object:

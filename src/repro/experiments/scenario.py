@@ -32,7 +32,6 @@ from ..sim.engine import Engine
 from ..sim.latency import build_latency_model
 from ..sim.network import Network
 from ..sim.node import SimNode
-from ..sim.sharded import ShardedEngine
 from .params import PROTOCOL_NAMES, ExperimentParams
 
 
@@ -70,7 +69,7 @@ class Scenario:
         # The latency world model prices every link; ``params.latency_model``
         # selects it (constant by default — the historical, pinned setting).
         self.latency = build_latency_model(self.params)
-        self.engine = self._build_kernel()
+        self.engine = Engine(tick=self.params.engine_tick)
         self.network = Network(
             self.engine,
             latency=self.latency,
@@ -98,32 +97,8 @@ class Scenario:
         self._overlay_built = False
 
     # ------------------------------------------------------------------
-    # Kernel and stack construction
+    # Stack construction
     # ------------------------------------------------------------------
-    def _build_kernel(self):
-        """The event kernel ``params.kernel`` asks for.
-
-        ``"single"`` is the bucket-queue :class:`Engine`; ``"sharded"``
-        partitions the node space into contiguous blocks across
-        ``params.kernel_shards`` shard queues with the latency model's
-        ``min_delay()`` — its greatest lower bound on any link delay — as
-        the conservative lookahead window.  The bound is a static property
-        of the model (no RNG), so it is exact for ConstantLatency and
-        safely conservative for jittered models; quantised ticks round
-        timestamps *up* and can never shrink a delay below it.  Both
-        kernels fire the same events in the same order.
-        """
-        params = self.params
-        if params.kernel == "single":
-            return Engine(tick=params.engine_tick)
-        engine = ShardedEngine(
-            params.kernel_shards,
-            tick=params.engine_tick,
-            lookahead=self.latency.min_delay(),
-        )
-        engine.partition(self.node_ids)
-        return engine
-
     def _build_stack(self, node: SimNode) -> None:
         # One construction path shared with the asyncio runtime: the
         # declarative stack registry (repro.protocols.registry) owns the
@@ -347,13 +322,7 @@ class Scenario:
         Thawed streams fast-forward lazily on first draw, so rehydration
         cost is paid only for the nodes a measurement actually touches.
 
-        The kernel serialises itself in kernel-appropriate sections: the
-        single-shard engine as its canonical bucket/wheel state (blob
-        bytes unchanged from before the sharded kernel existed), the
-        sharded kernel as one sorted live-entry section per shard.  A
-        sharded kernel caught mid-window (buffered cross-shard handoffs)
-        refuses to freeze with a clear error — impossible here because
-        the drained-engine check above already guarantees empty outboxes.
+        The engine serialises itself as its canonical bucket/wheel state.
         """
         if self.engine.live_pending:
             raise SimulationError("cannot freeze a scenario with pending events")

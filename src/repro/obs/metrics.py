@@ -2,8 +2,8 @@
 
 One registry per node/cluster absorbs the scattered stats the codebase
 grew organically (``Network`` drop counters, kernel ``events_fired_total``,
-``ShardSyncStats``, transport epoch/staleness audits, service breaker and
-token-bucket counters, ``LatencyHistogram``): sources register *collector*
+transport epoch/staleness audits, service breaker and token-bucket
+counters, ``LatencyHistogram``): sources register *collector*
 callbacks that refresh instrument values at snapshot/scrape time, so the
 hot paths keep their existing plain-int counters and pay nothing for the
 registry's existence.

@@ -483,7 +483,7 @@ class XBot(HyParView):
         # old already switched to us but the candidate edge vanished (or
         # slid into an unbiased slot) meanwhile: roll our half back so both
         # sides agree, and fail the round.
-        self._host.send(old, Disconnect(self.address))
+        self._disconnect(old)
         self._host.send(candidate, ReplaceReply(self.address, initiator, old, False))
 
     def _on_switch_timeout(self) -> None:
@@ -538,7 +538,7 @@ class XBot(HyParView):
         self._add_to_passive(peer)
         self.xbot_stats.optimization_removals += 1
         if notify_peer:
-            self._host.send(peer, Disconnect(self.address))
+            self._disconnect(peer)
         return True
 
     def _admit_swap_edge(self, peer: NodeId) -> bool:
@@ -551,7 +551,7 @@ class XBot(HyParView):
             # The slot was taken by a reactive admission mid-exchange;
             # reliability wins.  Refuse the edge so views stay symmetric.
             self.xbot_stats.edges_declined += 1
-            self._host.send(peer, Disconnect(self.address))
+            self._disconnect(peer)
             return False
         self.passive.discard(peer)
         self.active.add(peer)

@@ -15,10 +15,6 @@ Every model exposes two views of a link:
   state, every node can price any link locally and two nodes always agree
   on a cost.
 
-:meth:`LatencyModel.min_delay` is the model's greatest lower bound on any
-delay it can emit — the conservative cross-shard lookahead for the sharded
-kernel (the engine's quantised-tick mode rounds timestamps *up*, so the
-bound survives quantisation).
 """
 
 from __future__ import annotations
@@ -48,10 +44,6 @@ class LatencyModel(ABC):
         and computable by any node without coordination.
         """
 
-    @abstractmethod
-    def min_delay(self) -> float:
-        """Greatest lower bound on any delay this model can emit."""
-
 
 class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` seconds — the PeerSim-style
@@ -68,9 +60,6 @@ class ConstantLatency(LatencyModel):
         return self.value
 
     def base_delay(self, src: NodeId, dst: NodeId) -> float:
-        return self.value
-
-    def min_delay(self) -> float:
         return self.value
 
 
@@ -90,9 +79,6 @@ class UniformLatency(LatencyModel):
 
     def base_delay(self, src: NodeId, dst: NodeId) -> float:
         return (self.low + self.high) / 2.0
-
-    def min_delay(self) -> float:
-        return self.low
 
 
 class CoordinateLatency(LatencyModel):
@@ -128,9 +114,6 @@ class CoordinateLatency(LatencyModel):
         (x1, y1), (x2, y2) = self._coordinate(src), self._coordinate(dst)
         distance = math.hypot(x1 - x2, y1 - y2)
         return self.base + distance * self.per_unit
-
-    def min_delay(self) -> float:
-        return self.base
 
 
 class ZonedLatency(LatencyModel):
@@ -205,9 +188,6 @@ class ZonedLatency(LatencyModel):
 
     def base_delay(self, src: NodeId, dst: NodeId) -> float:
         return self._pair_base(self.zone_of(src), self.zone_of(dst))
-
-    def min_delay(self) -> float:
-        return self.intra[0] * (1.0 - self.jitter)
 
 
 #: Model names selectable through ``ExperimentParams.latency_model``.

@@ -46,9 +46,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..common.errors import SimulationError, UnknownNodeError
 from ..common.ids import NodeId
-from ..common.interfaces import FailureCallback, Kernel, ProbeCallback
+from ..common.interfaces import FailureCallback, ProbeCallback
 from ..common.messages import Message
 from ..common.rng import SeedSequence
+from .engine import Engine
 from .latency import ConstantLatency, LatencyModel
 from .trace import EventTrace
 
@@ -225,7 +226,7 @@ class Network:
 
     def __init__(
         self,
-        engine: Kernel,
+        engine: Engine,
         *,
         latency: Optional[LatencyModel] = None,
         seeds: Optional[SeedSequence] = None,
@@ -240,14 +241,8 @@ class Network:
         self.seeds = seeds
         self._rng: random.Random = seeds.stream("network")
         # Deliveries ride the engine's handle-free post fast path; the
-        # pre-bound method drops two attribute hops from every send.  On a
-        # shard-routed kernel every event additionally names the node that
-        # consumes it, so the kernel can hand it to the owning shard —
-        # `_post_for` stays None on single-shard kernels and each call
-        # site branches on it (one attribute load + `is None`, cheaper
-        # than an extra call frame on the hot path).
+        # pre-bound method drops two attribute hops from every send.
         self._post = engine.post
-        self._post_for = engine.post_for if engine.routed else None
         self._nodes: dict[NodeId, "SimNode"] = {}
         self._alive: set[NodeId] = set()
         self._partition: Optional[dict[NodeId, int]] = None
@@ -309,12 +304,7 @@ class Network:
         if watchers:
             for watcher, callback in watchers.items():
                 delay = self.latency.delay(node_id, watcher, self._rng)
-                if self._post_for is None:
-                    self._post(delay, self._notify_link_down, watcher, node_id, callback)
-                else:
-                    self._post_for(
-                        watcher, delay, self._notify_link_down, watcher, node_id, callback
-                    )
+                self._post(delay, self._notify_link_down, watcher, node_id, callback)
         # The crashed node's own held connections die with it: purge its
         # outgoing watch registrations so a later revived incarnation never
         # receives callbacks wired to the dead protocol instance.
@@ -607,22 +597,13 @@ class Network:
                 if self.trace is not None:
                     self.trace.record(self.engine.now, "drop-fault", src, dst, message)
                 return
-        post_for = self._post_for
         if on_failure is not None:
             if self.reachable(src, dst):
-                if post_for is None:
-                    self._post(delay, self._deliver_reliable, src, dst, message, on_failure)
-                else:
-                    # Deliveries belong to the destination's shard.
-                    post_for(dst, delay, self._deliver_reliable, src, dst, message, on_failure)
+                self._post(delay, self._deliver_reliable, src, dst, message, on_failure)
             else:
                 # TCP reset / connect failure: the sender learns after one
                 # network delay that the peer is gone.
-                if post_for is None:
-                    self._post(delay, self._notify_failure, src, dst, message, on_failure)
-                else:
-                    # Failure notifications run on the *sender's* shard.
-                    post_for(src, delay, self._notify_failure, src, dst, message, on_failure)
+                self._post(delay, self._notify_failure, src, dst, message, on_failure)
             return
         if not self.reachable(src, dst):
             stats.dropped_dead += 1
@@ -634,18 +615,11 @@ class Network:
             if self.trace is not None:
                 self.trace.record(self.engine.now, "drop-loss", src, dst, message)
             return
-        if post_for is None:
-            self._post(delay, self._deliver, src, dst, message)
-            for _ in range(duplicates):
-                stats.duplicated_fault += 1
-                extra = delay * (1.0 + self._fault_rng.random())
-                self._post(extra, self._deliver, src, dst, message)
-        else:
-            post_for(dst, delay, self._deliver, src, dst, message)
-            for _ in range(duplicates):
-                stats.duplicated_fault += 1
-                extra = delay * (1.0 + self._fault_rng.random())
-                post_for(dst, extra, self._deliver, src, dst, message)
+        self._post(delay, self._deliver, src, dst, message)
+        for _ in range(duplicates):
+            stats.duplicated_fault += 1
+            extra = delay * (1.0 + self._fault_rng.random())
+            self._post(extra, self._deliver, src, dst, message)
 
     def watch(self, src: NodeId, dst: NodeId, on_down: Callable[[NodeId], None]) -> None:
         """``src`` holds an open connection to ``dst`` (Transport.watch).
@@ -655,10 +629,7 @@ class Network:
         """
         if dst not in self._alive:
             delay = self.latency.delay(dst, src, self._rng)
-            if self._post_for is None:
-                self._post(delay, self._notify_link_down, src, dst, on_down)
-            else:
-                self._post_for(src, delay, self._notify_link_down, src, dst, on_down)
+            self._post(delay, self._notify_link_down, src, dst, on_down)
             return
         self._watchers.setdefault(dst, {})[src] = on_down
 
@@ -684,11 +655,7 @@ class Network:
         ok = self.reachable(src, dst)
         if self.trace is not None:
             self.trace.record(self.engine.now, "probe", src, dst, None)
-        if self._post_for is None:
-            self._post(rtt, self._probe_result, src, dst, ok, on_result)
-        else:
-            # The probe outcome is consumed by the prober.
-            self._post_for(src, rtt, self._probe_result, src, dst, ok, on_result)
+        self._post(rtt, self._probe_result, src, dst, ok, on_result)
 
     # ------------------------------------------------------------------
     # Internal delivery machinery

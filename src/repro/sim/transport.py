@@ -15,11 +15,7 @@ class SimTransport(Transport):
 
     Thin by design: all semantics (reliable vs. datagram, partitions, loss)
     live in :class:`~repro.sim.network.Network` so that tests can reason
-    about one implementation.  That includes shard routing — the network
-    resolves each event's consuming node against the
-    :class:`~repro.common.interfaces.Kernel`'s owner-qualified surface, so
-    the transport never touches engine internals and works unchanged on
-    the single-shard and sharded kernels.
+    about one implementation.
     """
 
     __slots__ = ("_network", "_local", "_network_send", "_network_probe")

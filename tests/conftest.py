@@ -16,15 +16,6 @@ from repro.testing import World
 __all__ = ["World"]
 
 
-def pytest_pycollect_makeitem(collector, name, obj):
-    # The repo-wide config collects bench_* functions for the benchmark
-    # harness; inside tests/ such names are imported helpers (e.g.
-    # ``bench_params``), never benchmarks — skip them.
-    if name.startswith("bench_"):
-        return []
-    return None
-
-
 @pytest.fixture
 def world() -> World:
     return World()

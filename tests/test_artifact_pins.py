@@ -99,13 +99,6 @@ FAST_BYZ_SUBSET = ("byz_equivocation",)
 #: The cheap topology pin that runs in the regular suite (two cells).
 FAST_TOPO_SUBSET = ("topo_convergence",)
 
-#: The sharded-kernel pin (PR 8): fig2 under ``--kernel sharded --shards 2``
-#: must hash to the *same* PR-2 value as the single-shard run — the sharded
-#: kernel is an exact-order coordinator, so kernel choice can never show up
-#: in an artifact byte.
-SHARDED_PIN_SCENARIO = "fig2_reliability"
-
-
 def _hashes(scenario_ids, **overrides) -> dict[str, str]:
     runs = run_scenarios(list(scenario_ids), "smoke", workers=1, **overrides)
     return {
@@ -139,12 +132,6 @@ def test_fast_byz_subset_matches_pr7_artifacts():
 def test_fast_topo_subset_matches_pr10_artifacts():
     assert _hashes(FAST_TOPO_SUBSET) == {
         k: PR10_TOPO_SMOKE_SHA256[k] for k in FAST_TOPO_SUBSET
-    }
-
-
-def test_sharded_kernel_fig2_matches_single_shard_pin():
-    assert _hashes((SHARDED_PIN_SCENARIO,), kernel="sharded", shards=2) == {
-        SHARDED_PIN_SCENARIO: PR2_SMOKE_SHA256[SHARDED_PIN_SCENARIO]
     }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import HyParViewConfig
-from repro.experiments.params import ExperimentParams, bench_params
+from repro.experiments.params import ExperimentParams
 from repro.protocols.cyclon import CyclonConfig
 from repro.protocols.scamp import ScampConfig
 
@@ -133,10 +133,3 @@ class TestExperimentParams:
         params = ExperimentParams.scaled(100).with_seed(7)
         assert params.seed == 7
         assert params.n == 100
-
-    def test_bench_params_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_N", "123")
-        monkeypatch.delenv("REPRO_BENCH_PAPER", raising=False)
-        assert bench_params().n == 123
-        monkeypatch.setenv("REPRO_BENCH_PAPER", "1")
-        assert bench_params().n == 10_000

@@ -178,27 +178,6 @@ class TestParallelDeterminism:
         with pytest.raises(ConfigurationError, match="workers"):
             run_scenarios(FAST_IDS, "smoke", workers=0)
 
-    def test_sharded_kernel_matches_single_shard_across_matrix(self):
-        """fig2 under --kernel sharded --shards 2 is byte-identical to the
-        single-shard run in every (workers, cells, cache) combination —
-        kernel choice may never reach an artifact byte."""
-        reference = encode_artifact(
-            run_scenarios(["fig2_reliability"], "smoke", workers=1)[
-                "fig2_reliability"
-            ].artifact()
-        )
-        for workers in (1, 2):
-            for cells in (True, False):
-                for snapshot_cache in (True, False):
-                    runs = run_scenarios(
-                        ["fig2_reliability"], "smoke",
-                        workers=workers, cells=cells,
-                        snapshot_cache=snapshot_cache,
-                        kernel="sharded", shards=2,
-                    )
-                    encoded = encode_artifact(runs["fig2_reliability"].artifact())
-                    assert encoded == reference, (workers, cells, snapshot_cache)
-
 
 class TestArtifacts:
     def test_round_trip_and_schema_guard(self, tmp_path):

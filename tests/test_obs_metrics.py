@@ -19,7 +19,6 @@ from repro.obs.collectors import (
     bind_latency,
     bind_network,
     bind_pubsub_cluster,
-    bind_shard_sync,
     bind_transport,
 )
 from repro.obs.http import CONTENT_TYPE, MetricsServer, scrape
@@ -144,16 +143,6 @@ class TestCollectors:
             "repro_kernel_events_fired_total"
         ]
         assert value == events_fired_total() > 0
-
-    def test_bind_shard_sync(self):
-        registry = MetricsRegistry()
-
-        class Eng:
-            sync = FakeStats({"windows": 4, "handoffs": 9})
-
-        bind_shard_sync(registry, Eng())
-        series = registry.snapshot()["repro_shard_sync_total"]
-        assert series['repro_shard_sync_total{kind="handoffs"}'] == 9
 
     def test_bind_latency_quantile_gauges(self):
         registry = MetricsRegistry()

@@ -136,6 +136,24 @@ class TestMedianWindow:
         _, warnings = perf_trend.compare(current, history, threshold=0.30)
         assert warnings == []  # median(1.0, 2.0) = 1.5
 
+    def test_record_dropped_from_the_current_run_retires_quietly(self):
+        # A timing record the history carries but the current run no
+        # longer writes (a deleted microbench probe) is retired, not a
+        # regression, and the sparklines still render the survivors.
+        history = [
+            {
+                "kernel_microbench": _record("kernel_microbench", events_per_second=9e5),
+                "kernel_probe": _record("kernel_probe", events_per_second=3e5),
+            }
+            for _ in range(3)
+        ]
+        current = {"kernel_microbench": _record("kernel_microbench", events_per_second=9e5)}
+        lines, warnings = perf_trend.compare(current, history, threshold=0.30)
+        assert warnings == []
+        assert any("| kernel_probe |" in line and "retired" in line for line in lines)
+        sparks = perf_trend.sparkline_section(history, current)
+        assert any("| kernel_microbench |" in line for line in sparks)
+
     def test_metric_kind_change_restarts_baseline(self):
         history = [
             {"kernel": _record("kernel", seconds=2.0)},

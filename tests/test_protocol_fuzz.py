@@ -200,3 +200,17 @@ class TestEvictionContention:
         for op in operations:
             fuzzer.apply(op)  # raised SimulationError (runaway) before
         fuzzer.check_invariants()
+
+
+class TestCrossingNeighborRequests:
+    def test_evicting_the_pending_neighbor_voids_its_late_reply(self):
+        """Regression (found by hypothesis): n0's NEIGHBOR request to n5
+        crossed n5's own request to n0.  n0 admitted n5, evicted it one
+        hop later to make room for a FORWARDJOIN, and then accepted n5's
+        late NeighborReply for the old request, after n5 had already
+        processed the DISCONNECT.  The link n0 -> n5 stayed one-way."""
+        fuzzer = Fuzzer(6525)
+        for op in [("join", 4, 2), ("join", 4, 2)]:
+            fuzzer.apply(op)
+        fuzzer.check_invariants()
+        assert all(p._pending_neighbor is None for p in fuzzer.protocols)

@@ -262,6 +262,24 @@ class TestTimeoutsAndStaleReplies:
         assert protos["i"].xbot_stats.swaps_completed == 0
 
 
+    def test_swap_demotion_voids_a_pending_neighbor_request(self):
+        # o's edge to i is the one the swap replaces, and o also has an
+        # outstanding NEIGHBOR request to i.  The Switch leg makes o send i
+        # a DISCONNECT, so i's reply to the request would describe a link
+        # that no longer exists: o must drop the request with its timer.
+        world, _, protos = quad_world(TestSwapCommit.ORACLE)
+        old, initiator = protos["o"], protos["i"].address
+        old._pending_neighbor = initiator
+        old._neighbor_timer = world.engine.schedule(60.0, lambda: None)
+        timer = old._neighbor_timer
+        protos["i"].optimize_once()
+        world.drain()
+        assert protos["i"].xbot_stats.swaps_completed == 1
+        assert initiator not in old.active_members()
+        assert old._pending_neighbor is None
+        assert timer.cancelled
+
+
 class TestConfigAndOracles:
     @pytest.mark.parametrize(
         "kwargs",
